@@ -2,9 +2,10 @@
 
 ``ParallelRunner(jobs=1).sweep`` over five slices per round: PrAny in
 the plain, sharded and replicated (3 acceptors) topologies, plus U2PC
-and C2PC. Slice sizes keep every slice near the same share of a round
-(a replicated seed costs ~12x a plain one). Every round sweeps the same
-fixed seed range of every slice, so the scenario set does not depend on
+and C2PC. Slice sizes keep every slice near a fifth of a round's time
+(a replicated seed costs ~12x a plain one); each run prints the shares
+it measured to standard error. Every round sweeps the same fixed seed
+range of every slice, so the scenario set does not depend on
 ``--seed`` and every run attempts whole rounds of the same operations.
 No socket and no file is touched: the simulator kernel, tracing,
 engines, checkers and replication do all the work.
@@ -18,6 +19,12 @@ An operation is one seed. Its *decide* time runs from the start of its
 sweep to the start of ``MDBS.finalize`` (the scenario has been driven
 to quiescence); its *forget* time runs to the end of the sweep
 (finalized, i.e. flushed and collected, and judged by the oracle).
+
+Set-up is pure CPU work, so its time follows the host's speed, which
+drifts over seconds. One set-up therefore runs before each measured
+window, spread over the run like the windows themselves, and
+``setup_s`` is their median. Spans recorded during a set-up are
+dropped.
 
 Checks, independent of the explorer's own pass/fail:
 
@@ -33,6 +40,7 @@ Checks, independent of the explorer's own pass/fail:
 from __future__ import annotations
 
 import statistics
+import sys
 import time
 from typing import Any
 
@@ -41,15 +49,15 @@ from repro.mdbs.system import MDBS
 
 import layers
 from spans import Tracer
-from stats import Window, windows_for
+from stats import Window, ratio, windows_for
 
 #: (slice name, generator knobs, seeds per round).
 SLICES: tuple[tuple[str, dict[str, Any], int], ...] = (
-    ("prany-plain", {"protocol": "prany"}, 30),
-    ("prany-sharded", {"protocol": "prany", "sharded": True}, 40),
-    ("prany-replicated", {"protocol": "prany", "replicated": 3}, 3),
-    ("u2pc", {"protocol": "u2pc"}, 32),
-    ("c2pc", {"protocol": "c2pc"}, 10),
+    ("prany-plain", {"protocol": "prany"}, 60),
+    ("prany-sharded", {"protocol": "prany", "sharded": True}, 80),
+    ("prany-replicated", {"protocol": "prany", "replicated": 3}, 6),
+    ("u2pc", {"protocol": "u2pc"}, 64),
+    ("c2pc", {"protocol": "c2pc"}, 16),
 )
 #: Generator salt of every slice.
 SALT = 0
@@ -58,6 +66,7 @@ WARMUP_SEEDS = 6
 WARMUP_BASE = 10_000
 #: (slice, seed) of the scenario that breaks Theorem 3 on every sweep.
 KNOWN_FAILURE = ("prany-plain", 1700)
+#: Fewest set-ups a run takes, however few windows it has.
 SETUPS = 3
 #: A seed slower than this counts as timed out.
 SEED_LIMIT_S = 10.0
@@ -120,65 +129,76 @@ def run(seconds: float, traced: bool) -> dict[str, Any]:
 def _measure(
     seconds: float, traced: bool, tracer: Tracer, clock: FinalizeClock
 ) -> dict[str, Any]:
-    setup_times = []
-    for _ in range(SETUPS):
-        built, elapsed = set_up()
-        setup_times.append(elapsed)
     operations = round_operations()
     count = windows_for(seconds)
     width = seconds / count
-    windows = [Window(0.0) for _ in range(count)]
-    marks: list[tuple[float, float]] = []  # (wall, cpu) at each window start
+    setup_times = []
+    for _ in range(SETUPS - count):  # a short run still takes SETUPS
+        with tracer.discarded():
+            built, elapsed = set_up()
+        setup_times.append(elapsed)
+    windows = []
+    slice_s = {name: 0.0 for name, _, _ in SLICES}
     failed = attempted = 0
     u2pc_atomicity = c2pc_operational = 0
     replay: "tuple[str, int, str] | None" = None
-    window_start = time.perf_counter()
-    rounds = 0
-    while rounds == 0 or time.perf_counter() - window_start < seconds:
-        for name, seed in operations:
-            began = time.perf_counter()
-            index = min(count - 1, int((began - window_start) / width))
-            while len(marks) <= index:
-                marks.append((began, time.process_time()))
-            window = windows[index]
-            window.ops += 1
-            attempted += 1
-            clock.started = 0.0
-            try:
-                summary = built[name].sweep([seed]).completed[0]
-            except Exception:  # a raising seed is a failed operation
-                failed += 1
-                continue
-            ended = time.perf_counter()
-            categories = set(summary.categories)
-            if name.startswith("prany"):
-                bad = bool(categories)
-                if replay is None and not bad:
-                    replay = (name, seed, summary.trace_sha256)
-            elif name == "u2pc":
-                bad = False
-                u2pc_atomicity += "atomicity" in categories
-            else:
-                bad = "atomicity" in categories
-                c2pc_operational += "operational" in categories
-            if bad or ended - began > SEED_LIMIT_S or clock.started == 0.0:
-                failed += 1
-                continue
-            window.done += 1
-            window.decide_ms.append((clock.started - began) * 1e3)
-            window.forget_ms.append((ended - began) * 1e3)
-        rounds += 1
-    marks.append((time.perf_counter(), time.process_time()))
-    for window, (wall0, cpu0), (wall1, cpu1) in zip(windows, marks, marks[1:]):
-        window.seconds = wall1 - wall0
-        window.cpu_s = cpu1 - cpu0
+    window_start = 0.0
+    for _ in range(count):
+        with tracer.discarded():
+            built, elapsed = set_up()
+        setup_times.append(elapsed)
+        wall0, cpu0 = time.perf_counter(), time.process_time()
+        if not windows:
+            window_start = wall0
+        window = Window(0.0)
+        windows.append(window)
+        while window.ops == 0 or time.perf_counter() - wall0 < width:
+            for name, seed in operations:
+                window.ops += 1
+                attempted += 1
+                clock.started = 0.0
+                began = time.perf_counter()
+                try:
+                    summary = built[name].sweep([seed]).completed[0]
+                except Exception:  # a raising seed is a failed operation
+                    failed += 1
+                    continue
+                ended = time.perf_counter()
+                slice_s[name] += ended - began
+                categories = set(summary.categories)
+                if name.startswith("prany"):
+                    bad = bool(categories)
+                    if replay is None and not bad:
+                        replay = (name, seed, summary.trace_sha256)
+                elif name == "u2pc":
+                    bad = False
+                    u2pc_atomicity += "atomicity" in categories
+                else:
+                    bad = "atomicity" in categories
+                    c2pc_operational += "operational" in categories
+                if bad or ended - began > SEED_LIMIT_S or clock.started == 0.0:
+                    failed += 1
+                    continue
+                window.done += 1
+                window.decide_ms.append((clock.started - began) * 1e3)
+                window.forget_ms.append((ended - began) * 1e3)
+        window.seconds = time.perf_counter() - wall0
+        window.cpu_s = time.process_time() - cpu0
+    total_s = sum(slice_s.values())
+    print(
+        "perfbench: explore share of round time: "
+        + ", ".join(
+            f"{name} {100 * ratio(t, total_s):.1f}%" for name, t in slice_s.items()
+        ),
+        file=sys.stderr,
+    )
 
     result: dict[str, Any] = {
         "attempted": attempted,
         "failed": failed,
         "problems": [],
         "setup_s": statistics.median(setup_times),
-        "windows": [window for window in windows if window.ops],
+        "windows": windows,
         "layers": None,
     }
     if traced:

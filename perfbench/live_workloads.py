@@ -52,6 +52,8 @@ TIME_SCALE = 0.01
 FSYNC = False
 #: The live throughput bench's window: 1 ms delay bound, 8 requests.
 GROUP_COMMIT = GroupCommitConfig(max_delay=0.1, max_batch=8)
+#: Share of update transactions forced to abort by a No vote.
+ABORT_FRACTION = 0.1
 #: Transactions driven to forgotten in each set-up, submitted at once.
 WARMUP_TRANSACTIONS = 16
 #: Set-ups per run; the reported ``setup_s`` is their median and the
@@ -70,23 +72,18 @@ class LiveShape:
 
     rate: float
     read_only_fraction: float
-    abort_fraction: float
     sweep_every_s: float
 
 
 SHAPES = {
     # Well below the knee: the WAL stays short, every commit-path layer
     # works, GC does little.
-    "steady": LiveShape(
-        rate=50.0, read_only_fraction=0.3, abort_fraction=0.1, sweep_every_s=0.1
-    ),
+    "steady": LiveShape(rate=50.0, read_only_fraction=0.3, sweep_every_s=0.1),
     # All updates: whole-WAL compaction inside flush_and_gc takes a
     # large share of the loop and sets forget latency. The rate leaves
     # the loop idle enough that its queueing does not amplify outside
     # load into the latencies.
-    "backlog": LiveShape(
-        rate=70.0, read_only_fraction=0.0, abort_fraction=0.1, sweep_every_s=0.25
-    ),
+    "backlog": LiveShape(rate=70.0, read_only_fraction=0.0, sweep_every_s=0.25),
 }
 
 
@@ -225,7 +222,7 @@ async def set_up(
         arrival="poisson",
         participants_min=2,
         participants_max=3,
-        abort_fraction=shape.abort_fraction,
+        abort_fraction=ABORT_FRACTION,
         read_only_fraction=shape.read_only_fraction,
         seed=seed,
     )

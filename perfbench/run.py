@@ -5,10 +5,13 @@ Usage, from the root of a checkout::
     python3 perfbench/run.py --workload steady --seed 1 --seconds 10 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with no wrappers
-installed. ``--trace 1`` runs the workload twice in this process, first
-untraced and then with every layer wrapped, and reports the per-layer
-metrics plus the tracing overhead between the two passes; its spans are
-written to ``.perfbench_work/spans-<workload>-seed<seed>.jsonl``.
+installed. ``--trace 1`` runs the workload three times in this process:
+untraced, with every layer wrapped, and untraced again. It reports the
+per-layer metrics of the traced pass, and the tracing overhead as the
+traced pass's CPU per operation against the mean of the two untraced
+passes around it, so a drift of the host's speed that is linear over
+the three passes cancels. Its spans are written to
+``.perfbench_work/spans-<workload>-seed<seed>.jsonl``.
 
 The last line of standard output is the result::
 
@@ -116,15 +119,20 @@ def main(argv: list[str] | None = None) -> int:
     runs = [measure(args.workload, args.seed, args.seconds, traced=False)]
     if args.trace:
         runs.append(measure(args.workload, args.seed, args.seconds, traced=True))
+        runs.append(measure(args.workload, args.seed, args.seconds, traced=False))
     problems = [problem for raw in runs for problem in raw["problems"]]
     for problem in problems:
         print(f"perfbench: check failed: {problem}", file=sys.stderr)
     if args.trace:
-        plain, traced = runs
+        before, traced, after = runs
+        untraced = (cpu_ms_per_op(before) + cpu_ms_per_op(after)) / 2
+        print(
+            f"perfbench: cpu_ms_per_op untraced {cpu_ms_per_op(before):.4f} "
+            f"then {cpu_ms_per_op(after):.4f}, traced {cpu_ms_per_op(traced):.4f}",
+            file=sys.stderr,
+        )
         values = dict(traced["layers"])
-        values["trace.overhead_pct"] = (
-            cpu_ms_per_op(traced) / cpu_ms_per_op(plain) - 1.0
-        ) * 100.0
+        values["trace.overhead_pct"] = (cpu_ms_per_op(traced) / untraced - 1.0) * 100.0
         spans_path = WORK / f"spans-{args.workload}-seed{args.seed}.jsonl"
         traced["tracer"].dump(spans_path)
         print(f"perfbench: spans written to {spans_path}", file=sys.stderr)

@@ -91,6 +91,15 @@ class Tracer:
             span.end = _clock()
             self.spans.append(span)
 
+    @contextlib.contextmanager
+    def discarded(self) -> Iterator[None]:
+        """Drop every span recorded inside: work that is not measured."""
+        mark = len(self.spans)
+        try:
+            yield
+        finally:
+            del self.spans[mark:]
+
     # -- wrapping ------------------------------------------------------------
 
     def wrap(

@@ -6,13 +6,13 @@ Usage, from the root of a checkout::
     python3 perfbench/steadiness.py --workload steady --runs 10
 
 Each run gets its own ``--seed`` (``--first-seed``, then upwards) and
-runs in a fresh process, exactly as ``BENCHMARK.json``'s command is
-run. For every metric it prints the median, the first and third
-quartiles (``statistics.quantiles(values, n=4)``) and the spread, the
-quartile distance as a share of the median, next to the metric's
-bound. ``setup_s`` is listed but, as a set-up time, not held to its
-bound by the spread. Every run's failed share is printed too; it must
-be the same in all of them. Exits 1 if any run failed to produce a
+runs in a fresh process for ``run_seconds``, exactly as
+``BENCHMARK.json``'s command is run: the bounds hold for runs of that
+length only. For every metric it prints the median, the first and
+third quartiles (``statistics.quantiles(values, n=4)``) and the
+spread, the quartile distance as a share of the median, next to the
+metric's bound. Every run's failed share is printed too; it must be
+the same in all of them. Exits 1 if any run failed to produce a
 result, reported ``correct: false``, or a spread exceeds its bound.
 """
 
@@ -50,12 +50,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=config["run_seconds"])
     args = parser.parse_args(argv)
 
     results = []
     for seed in range(args.first_seed, args.first_seed + args.runs):
-        result = one_run(config["command"], args.workload, seed, args.seconds)
+        result = one_run(
+            config["command"], args.workload, seed, config["run_seconds"]
+        )
         shares = result["failed"] / result["attempted"]
         print(
             f"seed {seed}: correct={result['correct']} attempted={result['attempted']} "
@@ -81,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         verdict = "ok" if share is not None and share <= bound / 3 else (
             "within" if held else "OVER"
         )
-        if name != "setup_s" and not held:
+        if not held:
             ok = False
         print(
             f"{name:20s} {metric['unit']:5s} {median:12.4f} {q1:12.4f} {q3:12.4f} "

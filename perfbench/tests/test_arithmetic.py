@@ -107,6 +107,15 @@ def test_wrap_records_and_unwrap_restores():
     assert isinstance(Box.__dict__["make"], classmethod)
 
 
+def test_discarded_drops_only_the_spans_recorded_inside():
+    tracer = Tracer()
+    tracer.close(tracer.open("kept"))
+    with tracer.discarded():
+        tracer.close(tracer.open("set-up"))
+    tracer.close(tracer.open("also kept"))
+    assert [span.name for span in tracer.spans] == ["kept", "also kept"]
+
+
 def test_spans_are_dumped_with_parent_index(tmp_path):
     tracer = Tracer()
     outer = tracer.open("outer")
